@@ -892,7 +892,7 @@ impl FaultCampaign {
             Ok(out) => {
                 let (stats, mem) = (out.stats, out.memory.expect("memory was requested"));
                 rec.injected_cycles = Some(stats.cycles);
-                if stats.sinks == g.stats.sinks && mem.words() == g.mem.words() {
+                if stats.sinks == g.stats.sinks && mem == g.mem {
                     rec.outcome = OutcomeClass::Masked;
                 } else if kind.is_transient() {
                     // No error signal and wrong outputs: the corruption
@@ -945,8 +945,7 @@ impl FaultCampaign {
         {
             Ok(out)
                 if out.stats.sinks == g.stats.sinks
-                    && out.memory.as_ref().expect("memory was requested").words()
-                        == g.mem.words() =>
+                    && out.memory.as_ref().expect("memory was requested") == &g.mem =>
             {
                 let stats = out.stats;
                 rec.outcome = OutcomeClass::Recovered;

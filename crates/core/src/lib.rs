@@ -64,7 +64,7 @@ pub use shard::{Coordinator, Lease, ShardCtx, ShardOptions, ShardState, WorkerSt
 use nupea_pnr::{pnr, PlaceConfig, PnrConfig};
 use nupea_sim::{Engine, MemParams, SimConfig};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// System-level configuration: the fabric plus simulator knobs.
 ///
@@ -467,15 +467,6 @@ pub struct Compiled {
     pub heuristic: Heuristic,
     workload: Arc<Workload>,
     sys: Arc<SystemConfig>,
-    /// Initial memory image, generated lazily once per artifact and
-    /// copied per run (shared across clones of the artifact). The
-    /// generator is deterministic, and regenerating the multi-megabyte
-    /// input image dominated short simulations.
-    init_mem: Arc<OnceLock<SimMemory>>,
-    /// Recycled run buffers: a fresh multi-megabyte allocation is
-    /// page-fault-bound, so finished (unkept) memory images are pooled
-    /// and re-imaged with a plain memcpy on the next run.
-    scratch: Arc<Mutex<Vec<SimMemory>>>,
 }
 
 impl Compiled {
@@ -487,11 +478,6 @@ impl Compiled {
     /// The system configuration this artifact was compiled for.
     pub fn system(&self) -> &SystemConfig {
         &self.sys
-    }
-
-    /// The cached initial memory image (built on first use).
-    fn init_mem(&self) -> &SimMemory {
-        self.init_mem.get_or_init(|| self.workload.fresh_mem())
     }
 
     /// Simulate under a memory model, validating results against the
@@ -538,14 +524,7 @@ impl Compiled {
             cfg.trace = TraceConfig::on();
         }
         cfg.validate()?;
-        let init = self.init_mem();
-        let mut mem = match self.scratch.lock().ok().and_then(|mut pool| pool.pop()) {
-            Some(mut recycled) if recycled.capacity() == init.capacity() => {
-                recycled.copy_from(init);
-                recycled
-            }
-            _ => init.clone(),
-        };
+        let mut mem = self.workload.fresh_mem();
         let mut engine = Engine::new(
             self.workload.kernel.dfg(),
             &sys.fabric,
@@ -564,20 +543,10 @@ impl Compiled {
         if opts.validate {
             self.workload.validate(&mem, &stats.sinks)?;
         }
-        let memory = if opts.keep_memory {
-            Some(mem)
-        } else {
-            if let Ok(mut pool) = self.scratch.lock() {
-                if pool.len() < 4 {
-                    pool.push(mem);
-                }
-            }
-            None
-        };
         Ok(SimOutcome {
             stats,
             trace,
-            memory,
+            memory: opts.keep_memory.then_some(mem),
         })
     }
 
@@ -719,8 +688,6 @@ fn compile_impl(
             heuristic,
             workload: Arc::clone(workload),
             sys: Arc::clone(sys),
-            init_mem: Arc::new(OnceLock::new()),
-            scratch: Arc::new(Mutex::new(Vec::new())),
         }),
         None => Err(last_err.expect("at least one attempt ran").into()),
     }

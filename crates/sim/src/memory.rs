@@ -103,31 +103,47 @@ impl MemParams {
 /// Kernels allocate their arrays here, the simulator executes real loads and
 /// stores against it, and tests compare final contents with reference
 /// implementations.
+///
+/// Only the *used prefix* is stored: the words up to the highest address
+/// allocated or written so far. The logical capacity is kept separately,
+/// and every address past the stored prefix but below capacity reads as
+/// zero. A workload that touches 2 KB of an 8 MB memory therefore clones,
+/// compares and builds in time proportional to those 2 KB. Equality
+/// (`==`) compares capacity and contents, treating unstored words as
+/// zeros, so two memories with the same contents are equal however much
+/// of each happens to be stored.
 #[derive(Debug, Clone)]
 pub struct SimMemory {
+    /// The stored prefix; `words.len() <= capacity`.
     words: Vec<i64>,
+    /// Logical size in words: addresses at or above it fault.
+    capacity: usize,
     next_free: usize,
     line_words: usize,
-    /// Exclusive upper bound of every address written since construction.
-    /// The backing store starts zeroed, so `words[high_write..]` is
-    /// provably all-zero at all times — [`SimMemory::copy_from`] exploits
-    /// this to restore a recycled buffer by touching only the written
-    /// prefix instead of the full (multi-megabyte) store.
-    high_write: usize,
 }
 
 impl SimMemory {
     /// Create a memory of `params.mem_words` zeroed words.
     pub fn new(params: &MemParams) -> Self {
         SimMemory {
-            words: vec![0; params.mem_words],
+            words: Vec::new(),
+            capacity: params.mem_words,
             next_free: 0,
             line_words: params.line_words,
-            high_write: 0,
+        }
+    }
+
+    /// Extend the stored prefix with zeros so it covers `end` words.
+    #[inline]
+    fn materialise(&mut self, end: usize) {
+        if end > self.words.len() {
+            self.words.resize(end, 0);
         }
     }
 
     /// Allocate `len` words, line-aligned. Returns the base word address.
+    /// The allocated region is stored (zeroed), so [`SimMemory::slice`]
+    /// can view it.
     ///
     /// # Panics
     ///
@@ -137,10 +153,11 @@ impl SimMemory {
         let base = self.next_free;
         let end = base + len;
         assert!(
-            end <= self.words.len(),
+            end <= self.capacity,
             "simulated memory exhausted: need {end} words, have {}",
-            self.words.len()
+            self.capacity
         );
+        self.materialise(end);
         self.next_free = end.next_multiple_of(self.line_words);
         base as i64
     }
@@ -149,7 +166,6 @@ impl SimMemory {
     pub fn alloc_init(&mut self, data: &[i64]) -> i64 {
         let base = self.alloc(data.len());
         self.words[base as usize..base as usize + data.len()].copy_from_slice(data);
-        self.high_write = self.high_write.max(base as usize + data.len());
         base
     }
 
@@ -160,7 +176,8 @@ impl SimMemory {
     /// Panics if `addr` is out of bounds.
     #[inline]
     pub fn read(&self, addr: usize) -> i64 {
-        self.words[addr]
+        self.try_read(addr as i64)
+            .unwrap_or_else(|| panic!("read of word {addr} past capacity {}", self.capacity))
     }
 
     /// Write a word.
@@ -170,75 +187,51 @@ impl SimMemory {
     /// Panics if `addr` is out of bounds.
     #[inline]
     pub fn write(&mut self, addr: usize, value: i64) {
-        self.words[addr] = value;
-        self.high_write = self.high_write.max(addr + 1);
+        assert!(
+            self.try_write(addr as i64, value),
+            "write of word {addr} past capacity {}",
+            self.capacity
+        );
     }
 
     /// Checked read used by the simulator (`None` = fault).
     #[inline]
     pub fn try_read(&self, addr: i64) -> Option<i64> {
-        usize::try_from(addr)
-            .ok()
-            .and_then(|a| self.words.get(a))
-            .copied()
+        let a = usize::try_from(addr).ok().filter(|&a| a < self.capacity)?;
+        Some(self.words.get(a).copied().unwrap_or(0))
     }
 
-    /// Checked write used by the simulator (`false` = fault).
+    /// Checked write used by the simulator (`false` = fault). A write past
+    /// the stored prefix extends it.
     #[inline]
     pub fn try_write(&mut self, addr: i64, value: i64) -> bool {
-        match usize::try_from(addr)
-            .ok()
-            .and_then(|a| self.words.get_mut(a))
-        {
-            Some(slot) => {
-                *slot = value;
-                self.high_write = self.high_write.max(addr as usize + 1);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Overwrite `self` with a copy of `src` without reallocating, so run
-    /// buffers can be recycled across simulations. A fresh 16 MB clone is
-    /// page-fault-bound (~10 ms); copying into an already-faulted buffer
-    /// is a plain memcpy — and thanks to the `high_write` watermark only
-    /// the written prefixes of the two stores need touching at all: both
-    /// are provably zero past their watermarks, so the result is
-    /// word-for-word identical to a full copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two memories have different capacities.
-    pub fn copy_from(&mut self, src: &SimMemory) {
-        assert_eq!(
-            self.words.len(),
-            src.words.len(),
-            "copy_from requires equal capacities"
-        );
-        self.words[..src.high_write].copy_from_slice(&src.words[..src.high_write]);
-        if self.high_write > src.high_write {
-            self.words[src.high_write..self.high_write].fill(0);
-        }
-        self.high_write = src.high_write;
-        self.next_free = src.next_free;
-        self.line_words = src.line_words;
+        let Some(a) = usize::try_from(addr).ok().filter(|&a| a < self.capacity) else {
+            return false;
+        };
+        self.materialise(a + 1);
+        self.words[a] = value;
+        true
     }
 
     /// View a range of memory (for result validation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not stored. Allocated regions always are.
     pub fn slice(&self, base: i64, len: usize) -> &[i64] {
         &self.words[base as usize..base as usize + len]
     }
 
-    /// Entire backing store, mutably (used by the untimed interpreter).
-    /// Writes through the returned slice cannot be tracked, so the
-    /// high-write watermark is pessimistically raised to the full store.
+    /// The entire logical memory, mutably (used by the untimed
+    /// interpreter). This materialises the full store, so it costs the
+    /// whole capacity; the timed paths never call it.
     pub fn words_mut(&mut self) -> &mut [i64] {
-        self.high_write = self.words.len();
+        self.materialise(self.capacity);
         &mut self.words
     }
 
-    /// Entire backing store.
+    /// The stored prefix. Every word past it (up to [`SimMemory::capacity`])
+    /// is zero.
     pub fn words(&self) -> &[i64] {
         &self.words
     }
@@ -250,9 +243,26 @@ impl SimMemory {
 
     /// Capacity in words.
     pub fn capacity(&self) -> usize {
-        self.words.len()
+        self.capacity
     }
 }
+
+impl PartialEq for SimMemory {
+    /// Same capacity and same contents, with unstored words read as zero.
+    /// Allocation state is not compared.
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.capacity == other.capacity
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for SimMemory {}
 
 /// Shared memory-side cache model: set-associative, LRU, allocate-on-miss
 /// for both loads and stores. Only hit/miss (latency) is modelled — data

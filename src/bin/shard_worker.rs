@@ -25,11 +25,11 @@ use nupea_kernels::workloads::workload_by_name;
 use std::path::Path;
 use std::process::ExitCode;
 
-/// The chaos campaign: the smoke preset narrowed to two workloads × two
+/// The chaos campaign: the smoke preset narrowed to two workloads × twelve
 /// injections. Must match `tests/shard_chaos.rs`.
 fn chaos_campaign() -> FaultCampaign {
     let mut cfg = CampaignConfig::smoke();
-    cfg.injections = 2;
+    cfg.injections = 12;
     cfg.threads = 2;
     let mut campaign = FaultCampaign::new(cfg);
     for name in ["spmv", "spmspv"] {

@@ -73,12 +73,7 @@ fn disabled_fault_hooks_are_invisible_to_every_workload() {
         assert_eq!(off.fabric_cycles, base.fabric_cycles, "{}", w.name);
         assert_eq!(off.firings, base.firings, "{}: firings moved", w.name);
         assert_eq!(off.sinks, base.sinks, "{}: sinks moved", w.name);
-        assert_eq!(
-            off_mem.words(),
-            base_mem.words(),
-            "{}: memory moved",
-            w.name
-        );
+        assert!(off_mem == base_mem, "{}: memory moved", w.name);
         assert_eq!(
             off.load_latency_by_domain, base.load_latency_by_domain,
             "{}: latency stats moved",
@@ -137,7 +132,7 @@ fn pe_failure_recovers_via_avoid_set_replace() {
         Err(_) => true,
         Ok(ref out) => {
             out.stats.sinks != golden.sinks
-                || out.memory.as_ref().expect("memory was requested").words() != golden_mem.words()
+                || out.memory.as_ref().expect("memory was requested") != &golden_mem
         }
     };
     assert!(detected, "killing the busiest PE must be detectable");
@@ -167,9 +162,8 @@ fn pe_failure_recovers_via_avoid_set_replace() {
         recovered.sinks, golden.sinks,
         "recovered sinks must be bit-identical to golden"
     );
-    assert_eq!(
-        recovered_mem.words(),
-        golden_mem.words(),
+    assert!(
+        recovered_mem == golden_mem,
         "recovered memory must be bit-identical to golden"
     );
     assert!(recovered.cycles > 0);

@@ -102,15 +102,9 @@ fn three_way(p: &Program, mem0: &SimMemory, params: &[(&str, i64)], rng: &mut Xo
         "{}: scalar vs engine sinks",
         p.name()
     );
-    assert_eq!(
-        m_scalar.words(),
-        m_ir.words(),
-        "{}: scalar vs ir memory",
-        p.name()
-    );
-    assert_eq!(
-        m_scalar.words(),
-        m_engine.words(),
+    assert!(m_scalar == m_ir, "{}: scalar vs ir memory", p.name());
+    assert!(
+        m_scalar == m_engine,
         "{}: scalar vs engine memory",
         p.name()
     );

@@ -79,9 +79,8 @@ fn all_workloads_are_schedule_invariant_under_perturbation() {
                 "{}: sinks diverged under perturbation seed {}",
                 w.name, p.seed
             );
-            assert_eq!(
-                mem.words(),
-                base_mem.words(),
+            assert!(
+                mem == base_mem,
                 "{}: final memory diverged under perturbation seed {}",
                 w.name,
                 p.seed

@@ -19,7 +19,7 @@ use nupea_kernels::workloads::workload_by_name;
 use nupea_rng::Xoshiro256;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_shard_worker");
 const TTL_MS: u64 = 1_500;
@@ -35,7 +35,7 @@ fn scratch(name: &str) -> PathBuf {
 /// Must match `shard_worker`'s `chaos_campaign`.
 fn chaos_campaign() -> FaultCampaign {
     let mut cfg = CampaignConfig::smoke();
-    cfg.injections = 2;
+    cfg.injections = 12;
     cfg.threads = 2;
     let mut campaign = FaultCampaign::new(cfg);
     for name in ["spmv", "spmspv"] {
@@ -130,11 +130,16 @@ fn run_chaos(
 
 #[test]
 fn killed_fault_campaign_workers_are_stolen_and_merge_is_byte_identical() {
+    let started = Instant::now();
     let single = chaos_campaign().run().unwrap().to_json();
+    // The workers share the same work on the same cores, so they run for
+    // about as long as the single-process campaign did: kill within its
+    // first half, whatever the speed of the build or the host.
+    let ms = (started.elapsed().as_millis() as u64).max(16);
 
     let dir = scratch("faults");
     let shards = 6;
-    let killed = run_chaos("faults", &dir, shards, 4, 2, (120, 300), 0xC7A0_5001);
+    let killed = run_chaos("faults", &dir, shards, 4, 2, (ms / 8, ms / 2), 0xC7A0_5001);
     eprintln!("chaos: {killed} of 2 victims were killed while live");
     assert!(
         killed >= 1,
